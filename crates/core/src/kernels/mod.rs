@@ -404,14 +404,28 @@ type Portable = eutectica_simd::scalar::F64x4;
 ///
 /// The `#[target_feature]` wrappers let the compiler generate real AVX2+FMA
 /// code for the inlined kernels even when the crate itself is built without
-/// those target features. This only works because the whole generic call
-/// chain (`*_range_v` → const-dispatched kernel → vector helpers) is
-/// `#[inline(always)]`: the feature attribute applies per LLVM function,
-/// so any kernel left out-of-line would compile featureless and every
-/// intrinsic inside it would degrade to an un-inlinable libcall (~20x
-/// slower, measured). Calling one without checking
-/// [`eutectica_simd::avx2_available`] first is undefined behavior, hence
-/// the `unsafe` at the call sites.
+/// those target features. The feature attribute applies per LLVM function,
+/// so it only reaches code that is inlined into the wrapper; anything left
+/// out of line compiles featureless, and every intrinsic inside it becomes
+/// an un-inlinable call (~20x slower, measured). Hence the rule for every
+/// kernel body reachable from here (`simd_phi`, `simd_mu`, `simd_common`,
+/// and the scalar helpers their remainder paths inline):
+///
+/// * every function on the chain (`*_range_v` → const-dispatched kernel →
+///   vector helpers) is `#[inline(always)]`;
+/// * no closures and no `core::array::from_fn`: LLVM keeps a closure out
+///   of line even when its caller is inlined. Lane arrays use the
+///   in-place `arr4!`/`arr2!` macros of `simd_common`, and per-slice or
+///   per-face helpers are `#[inline(always)]` fns (`SliceTemps`,
+///   `face_at`, `load4`).
+///
+/// The `simd-codegen` CI job (`scripts/check_simd_codegen.sh`) enforces the
+/// rule on the release binary: it fails if any AVX/AVX2/FMA intrinsic or
+/// kernel closure is compiled as a function of its own, or if an entry
+/// below calls an out-of-line closure or `array::try_from_fn`.
+///
+/// Calling an entry without checking [`eutectica_simd::avx2_available`]
+/// first is undefined behavior, hence the `unsafe` at the call sites.
 #[cfg(target_arch = "x86_64")]
 mod avx2_entry {
     use super::{simd_mu, simd_phi, ModelParams, MuPart};

@@ -12,6 +12,7 @@
 //! `NeighborOnly` adds −∇·J_at afterwards, once the φ_dst ghost layers have
 //! arrived.
 
+use crate::kernels::simd_common::arr4;
 use crate::kernels::{get2, get4, MuPart};
 use crate::model::{
     jat_face_flux, mu_cell_update, mu_face_flux_gradient, phase_change_source, susceptibility,
@@ -143,12 +144,12 @@ impl SweepCtx<'_> {
                     return flux;
                 }
             }
-            let phi_f: [f64; N_PHASES] = core::array::from_fn(|a| 0.5 * (phi_l[a] + phi_r[a]));
-            let grad_f: [[f64; 3]; N_PHASES] =
-                core::array::from_fn(|a| self.face_gradient(ps, il, ir, axis, a));
-            let dphidt_f: [f64; N_PHASES] = core::array::from_fn(|a| {
-                0.5 * ((pd[a][il] - ps[a][il]) + (pd[a][ir] - ps[a][ir])) * self.inv_dt
-            });
+            // `arr4!`, not `array::from_fn`: the four-cell µ-kernel inlines
+            // this flux into its AVX2 instantiation (see `simd_common`).
+            let phi_f: [f64; N_PHASES] = arr4!(|a| 0.5 * (phi_l[a] + phi_r[a]));
+            let grad_f: [[f64; 3]; N_PHASES] = arr4!(|a| self.face_gradient(ps, il, ir, axis, a));
+            let dphidt_f: [f64; N_PHASES] =
+                arr4!(|a| 0.5 * ((pd[a][il] - ps[a][il]) + (pd[a][ir] - ps[a][ir])) * self.inv_dt);
             let mu_l = get2(ms, il);
             let mu_r = get2(ms, ir);
             let mu_f = [0.5 * (mu_l[0] + mu_r[0]), 0.5 * (mu_l[1] + mu_r[1])];

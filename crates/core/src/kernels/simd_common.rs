@@ -5,9 +5,56 @@
 //! (see [`super::backend`]). The crate-level `eutectica_simd::F64x4` alias
 //! remains the compile-time default instantiation.
 
+use crate::params::ModelParams;
 use crate::temperature::SliceCtx;
 use crate::{N_COMP, N_PHASES};
 use eutectica_simd::{SimdF64x4, SimdMask4};
+
+/// `arr4!(|a| expr)` expands in place to `[{ let a = 0; expr }, …,
+/// { let a = 3; expr }]`: a per-phase lane array without a closure. Kernel
+/// bodies use it instead of `core::array::from_fn`, whose closure LLVM
+/// keeps out of line — and an outlined closure compiles without the
+/// `avx2_entry` target features (see [`super`]).
+macro_rules! arr4 {
+    (|$i:ident| $e:expr) => {
+        [
+            {
+                let $i: usize = 0;
+                $e
+            },
+            {
+                let $i: usize = 1;
+                $e
+            },
+            {
+                let $i: usize = 2;
+                $e
+            },
+            {
+                let $i: usize = 3;
+                $e
+            },
+        ]
+    };
+}
+
+/// Two-element counterpart of [`arr4!`] (per-component arrays).
+macro_rules! arr2 {
+    (|$i:ident| $e:expr) => {
+        [
+            {
+                let $i: usize = 0;
+                $e
+            },
+            {
+                let $i: usize = 1;
+                $e
+            },
+        ]
+    };
+}
+
+pub(crate) use {arr2, arr4};
 
 /// Gather the 4 phase values of one cell from the SoA planes into a vector
 /// (lane α = φ_α). This is the cost of running the cellwise φ-kernel on a
@@ -43,7 +90,7 @@ pub fn matvec<V: SimdF64x4>(cols: &[V; N_PHASES], v: V) -> V {
 /// γ matrix as column vectors (symmetric, so columns = rows).
 #[inline(always)]
 pub fn gamma_cols<V: SimdF64x4>(gamma: &[[f64; N_PHASES]; N_PHASES]) -> [V; N_PHASES] {
-    core::array::from_fn(|b| V::from_array(core::array::from_fn(|a| gamma[a][b])))
+    arr4!(|b| V::from_array(arr4!(|a| gamma[a][b])))
 }
 
 /// Per-slice thermodynamic constants in lane-per-phase layout for the
@@ -67,18 +114,49 @@ impl<V: SimdF64x4> SliceCtxV<V> {
     #[inline(always)]
     pub fn from_ctx(ctx: &SliceCtx) -> Self {
         Self {
-            c_eq: [
-                V::from_array(core::array::from_fn(|a| ctx.c_eq[a][0])),
-                V::from_array(core::array::from_fn(|a| ctx.c_eq[a][1])),
-            ],
+            c_eq: arr2!(|i| V::from_array(arr4!(|a| ctx.c_eq[a][i]))),
             offset: V::from_array(ctx.offset),
-            inv4k: [
-                V::from_array(core::array::from_fn(|a| ctx.inv4k[a][0])),
-                V::from_array(core::array::from_fn(|a| ctx.inv4k[a][1])),
-            ],
+            inv4k: arr2!(|i| V::from_array(arr4!(|a| ctx.inv4k[a][i]))),
             pref_grad: ctx.pref_grad,
             pref_obst: ctx.pref_obst,
         }
+    }
+}
+
+/// Per-call temperature lookups of one block's slices, for the rungs
+/// without the T(z) precomputation. `black_box` keeps the per-cell
+/// recomputation from being hoisted out of the cell loops (see
+/// scalar_phi.rs).
+#[derive(Copy, Clone)]
+pub(crate) struct SliceTemps<'a> {
+    /// Model parameters (temperature field).
+    pub params: &'a ModelParams,
+    /// Global z of the block's first interior slice.
+    pub origin_z: isize,
+    /// Ghost-layer width.
+    pub g: usize,
+    /// Simulation time.
+    pub time: f64,
+}
+
+impl SliceTemps<'_> {
+    /// Temperature of absolute (ghost-inclusive) slice `z`.
+    #[inline(always)]
+    pub fn temp_of(&self, z: usize) -> f64 {
+        let gz = self.origin_z as f64 + z as f64 - self.g as f64;
+        std::hint::black_box(self.params.temperature(gz, self.time))
+    }
+
+    /// Slice context at the temperature of slice `z`.
+    #[inline(always)]
+    pub fn cell_ctx(&self, z: usize) -> SliceCtx {
+        SliceCtx::at(self.params, self.temp_of(z))
+    }
+
+    /// Slice context of the z-face between slices `z` and `z + 1`.
+    #[inline(always)]
+    pub fn zface_ctx(&self, z: usize) -> SliceCtx {
+        SliceCtx::at(self.params, 0.5 * (self.temp_of(z) + self.temp_of(z + 1)))
     }
 }
 
@@ -117,7 +195,7 @@ pub fn project_simplex_lanes<V: SimdF64x4>(phi: [V; N_PHASES]) -> [V; N_PHASES] 
         let mask = (*u + l).gt(zero);
         lambda = mask.select(l, lambda);
     }
-    core::array::from_fn(|a| (phi[a] + lambda).max(zero))
+    arr4!(|a| (phi[a] + lambda).max(zero))
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! [`super::simd_phi`] for the instantiation scheme.
 
 use crate::kernels::scalar_mu::SweepCtx;
-use crate::kernels::simd_common::eq_mask;
+use crate::kernels::simd_common::{arr2, arr4, eq_mask, SliceTemps};
 use crate::kernels::{get2, get4, MuPart};
 use crate::model::{mu_cell_update, phase_change_source, susceptibility, temp_drift};
 use crate::params::ModelParams;
@@ -131,8 +131,8 @@ impl<V: SimdF64x4> VCtx<'_, V> {
     ) -> [V; N_COMP] {
         let half = V::splat(0.5);
         let zero = V::zero();
-        let phi_l: [V; N_PHASES] = core::array::from_fn(|a| V::load(ps[a], il));
-        let phi_r: [V; N_PHASES] = core::array::from_fn(|a| V::load(ps[a], ir));
+        let phi_l: [V; N_PHASES] = arr4!(|a| V::load(ps[a], il));
+        let phi_r: [V; N_PHASES] = arr4!(|a| V::load(ps[a], ir));
         let mu_l = [V::load(ms[0], il), V::load(ms[1], il)];
         let mu_r = [V::load(ms[0], ir), V::load(ms[1], ir)];
         let mut flux = [zero; N_COMP];
@@ -162,7 +162,7 @@ impl<V: SimdF64x4> VCtx<'_, V> {
             let ind_l = pl.gt(zero).and(nl2.gt(zero));
             let inv_nl = one / nl2.max(minpos).sqrt();
             let inv_pl = one / pl.max(minpos);
-            let pf: [V; N_PHASES] = core::array::from_fn(|a| (phi_l[a] + phi_r[a]) * half);
+            let pf: [V; N_PHASES] = arr4!(|a| (phi_l[a] + phi_r[a]) * half);
             let mut s_f = zero;
             for p in &pf {
                 s_f += *p * *p;
@@ -263,16 +263,12 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
     } else {
         None
     };
-    // black_box: see scalar_phi.rs.
-    let temp_of = |z: usize| -> f64 {
-        let gz = origin_z as f64 + z as f64 - g as f64;
-        if TZ {
-            params.temperature(gz, time)
-        } else {
-            std::hint::black_box(params.temperature(gz, time))
-        }
+    let temps = SliceTemps {
+        params,
+        origin_z,
+        g,
+        time,
     };
-    let zface_ctx = |z: usize| SliceCtx::at(params, 0.5 * (temp_of(z) + temp_of(z + 1)));
 
     let BlockState {
         phi_src,
@@ -294,7 +290,7 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
         let ctx_zlow = if TZ {
             table.as_ref().unwrap().zface[z0 - 1]
         } else {
-            zface_ctx(z0 - 1)
+            temps.zface_ctx(z0 - 1)
         };
         for y in 0..ny {
             for gx in 0..ngx {
@@ -305,8 +301,7 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
     }
 
     // Per-phase constant splats for the temperature-independent slopes.
-    let dcdt_v: [[V; N_COMP]; N_PHASES] =
-        core::array::from_fn(|a| core::array::from_fn(|i| V::splat(cx.dc_dt[a][i])));
+    let dcdt_v: [[V; N_COMP]; N_PHASES] = arr4!(|a| arr2!(|i| V::splat(cx.dc_dt[a][i])));
     let dtdt = V::splat(params.dtemp_dt());
 
     for z in z0..z1 {
@@ -321,11 +316,7 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
             )
         };
         if STAG {
-            let ctx_yf = if TZ {
-                ctx_z
-            } else {
-                SliceCtx::at(params, temp_of(z))
-            };
+            let ctx_yf = if TZ { ctx_z } else { temps.cell_ctx(z) };
             for gx in 0..ngx {
                 let i = dims.idx(4 * gx + g, g, z);
                 ybuf[gx] = cx.face_flux::<SC>(&ps, &pd, &ms, &ctx_yf, i - sy, i, 1);
@@ -336,11 +327,7 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
             // Row-start x carry: lane 0 of the explicit low-face evaluation.
             let mut carry = [0.0f64; N_COMP];
             if STAG && ngx > 0 {
-                let ctx_xf = if TZ {
-                    ctx_z
-                } else {
-                    SliceCtx::at(params, temp_of(z))
-                };
+                let ctx_xf = if TZ { ctx_z } else { temps.cell_ctx(z) };
                 let lo = cx.face_flux::<SC>(&ps, &pd, &ms, &ctx_xf, row - 1, row, 0);
                 carry = [lo[0].extract(0), lo[1].extract(0)];
             }
@@ -350,9 +337,9 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                     (ctx_z, ctx_zf_low, ctx_zf_high)
                 } else {
                     (
-                        SliceCtx::at(params, temp_of(z)),
-                        zface_ctx(z - 1),
-                        zface_ctx(z),
+                        temps.cell_ctx(z),
+                        temps.zface_ctx(z - 1),
+                        temps.zface_ctx(z),
                     )
                 };
 
@@ -381,14 +368,14 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 ];
 
                 // Local terms, lanes = cells.
-                let pc: [V; N_PHASES] = core::array::from_fn(|a| V::load(ps[a], i));
+                let pc: [V; N_PHASES] = arr4!(|a| V::load(ps[a], i));
                 let mut s_old = V::zero();
                 for p in &pc {
                     s_old = p.mul_add(*p, s_old);
                 }
                 let inv_s_old = V::splat(1.0) / s_old;
-                let h_old: [V; N_PHASES] = core::array::from_fn(|a| pc[a] * pc[a] * inv_s_old);
-                let chi: [V; N_COMP] = core::array::from_fn(|i| {
+                let h_old: [V; N_PHASES] = arr4!(|a| pc[a] * pc[a] * inv_s_old);
+                let chi: [V; N_COMP] = arr2!(|i| {
                     let mut c = V::zero();
                     for a in 0..N_PHASES {
                         c = h_old[a].mul_add(V::splat(ctx.inv2k[a][i]), c);
@@ -408,7 +395,7 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 let mut source = [V::zero(); N_COMP];
                 let mut drift = [V::zero(); N_COMP];
                 if with_local_terms {
-                    let pn: [V; N_PHASES] = core::array::from_fn(|a| V::load(pd[a], i));
+                    let pn: [V; N_PHASES] = arr4!(|a| V::load(pd[a], i));
                     let unchanged = SC
                         && eq_mask(pn[0], pc[0])
                             .and(eq_mask(pn[1], pc[1]))
@@ -453,9 +440,9 @@ fn sweep<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                     (ctx_z, ctx_zf_low, ctx_zf_high)
                 } else {
                     (
-                        SliceCtx::at(params, temp_of(z)),
-                        zface_ctx(z - 1),
-                        zface_ctx(z),
+                        temps.cell_ctx(z),
+                        temps.zface_ctx(z - 1),
+                        temps.zface_ctx(z),
                     )
                 };
                 let f_xl = scx.face_flux::<SC>(&ps, &pd, &ms, &ctx, i - 1, i, 0);

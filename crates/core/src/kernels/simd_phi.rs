@@ -20,11 +20,12 @@
 //! compile-time default `eutectica_simd::F64x4`.
 
 use crate::kernels::simd_common::{
-    eq_mask, gamma_cols, gather_cell4, matvec, project_simplex_lanes, scatter_cell4, SliceCtxV,
+    arr4, eq_mask, gamma_cols, gather_cell4, matvec, project_simplex_lanes, scatter_cell4,
+    SliceCtxV, SliceTemps,
 };
 use crate::params::ModelParams;
 use crate::state::BlockState;
-use crate::temperature::{SliceCtx, SliceTable};
+use crate::temperature::SliceTable;
 use crate::N_PHASES;
 use eutectica_simd::{F64x4, SimdF64x4, SimdMask4};
 
@@ -72,19 +73,8 @@ pub fn phi_sweep_cellwise_range_v<V: SimdF64x4>(
     z0: usize,
     z1: usize,
 ) {
-    // With a uniform surface-energy matrix (γ_αβ = γ for α ≠ β, the standard
-    // setup here and in the paper), Γ·v = γ(Σv − v): the matrix–vector
-    // product collapses to one horizontal sum — the "φ_α Σ φ_β"-style
-    // permute structure the paper describes for its cellwise kernel.
-    let g = params.gamma[0][1];
-    let uniform = (0..4).all(|a| {
-        (0..4).all(|b| {
-            let want = if a == b { 0.0 } else { g };
-            params.gamma[a][b] == want
-        })
-    });
     let (p, s, t) = (params, state, time);
-    match (uniform, tz, stag, shortcuts) {
+    match (uniform_gamma(&params.gamma), tz, stag, shortcuts) {
         (false, false, false, false) => cellwise::<V, false, false, false, false>(p, s, t, z0, z1),
         (false, false, false, true) => cellwise::<V, false, false, true, false>(p, s, t, z0, z1),
         (false, false, true, false) => cellwise::<V, false, true, false, false>(p, s, t, z0, z1),
@@ -102,6 +92,22 @@ pub fn phi_sweep_cellwise_range_v<V: SimdF64x4>(
         (true, true, true, false) => cellwise::<V, true, true, false, true>(p, s, t, z0, z1),
         (true, true, true, true) => cellwise::<V, true, true, true, true>(p, s, t, z0, z1),
     }
+}
+
+/// Whether the surface-energy matrix is uniform (γ_αβ = γ for α ≠ β, the
+/// standard setup here and in the paper). Then Γ·v = γ(Σv − v): the
+/// matrix–vector product collapses to one horizontal sum — the "φ_α Σ φ_β"-
+/// style permute structure the paper describes for its cellwise kernel.
+#[inline(always)]
+fn uniform_gamma(gamma: &[[f64; N_PHASES]; N_PHASES]) -> bool {
+    let g = gamma[0][1];
+    let mut uniform = true;
+    for (a, row) in gamma.iter().enumerate() {
+        for (b, &v) in row.iter().enumerate() {
+            uniform &= v == if a == b { 0.0 } else { g };
+        }
+    }
+    uniform
 }
 
 /// Γ·v for the cellwise kernel: uniform-γ fast path (one horizontal sum)
@@ -129,6 +135,25 @@ fn face_flux_v<V: SimdF64x4, const UG: bool>(
     let s1 = gamma_apply::<V, UG>(gcols, gu, pf * g);
     let s2 = gamma_apply::<V, UG>(gcols, gu, pf * pf);
     (pf * s1 - g * s2) * V::splat(-2.0)
+}
+
+/// [`face_flux_v`] of the face between cells `il` and `ir` of a SoA field.
+#[inline(always)]
+fn face_at<V: SimdF64x4, const UG: bool>(
+    ps: &[&[f64]; N_PHASES],
+    gcols: &[V; N_PHASES],
+    gu: V,
+    inv_dx: V,
+    il: usize,
+    ir: usize,
+) -> V {
+    face_flux_v::<V, UG>(
+        gcols,
+        gu,
+        gather_cell4(ps, il),
+        gather_cell4(ps, ir),
+        inv_dx,
+    )
 }
 
 #[inline(always)]
@@ -160,14 +185,11 @@ fn cellwise<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool, cons
     } else {
         None
     };
-    // black_box: keep the per-cell recomputation from being hoisted (see
-    // scalar_phi.rs).
-    let cell_ctx = |z: usize| -> SliceCtxV<V> {
-        let gz = origin_z as f64 + z as f64 - g as f64;
-        SliceCtxV::from_ctx(&SliceCtx::at(
-            params,
-            std::hint::black_box(params.temperature(gz, time)),
-        ))
+    let temps = SliceTemps {
+        params,
+        origin_z,
+        g,
+        time,
     };
 
     let BlockState {
@@ -180,16 +202,6 @@ fn cellwise<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool, cons
     let ms = mu_src.comps();
     let mut pd = phi_dst.comps_mut();
 
-    let face = |il: usize, ir: usize| -> V {
-        face_flux_v::<V, UG>(
-            &gcols,
-            gu,
-            gather_cell4(&ps, il),
-            gather_cell4(&ps, ir),
-            inv_dx,
-        )
-    };
-
     let mut zbuf = vec![V::zero(); if STAG { nx * ny } else { 0 }];
     let mut ybuf = vec![V::zero(); if STAG { nx } else { 0 }];
 
@@ -197,7 +209,7 @@ fn cellwise<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool, cons
         for y in 0..ny {
             for x in 0..nx {
                 let i = dims.idx(x + g, y + g, z0);
-                zbuf[y * nx + x] = face(i - sz, i);
+                zbuf[y * nx + x] = face_at::<V, UG>(&ps, &gcols, gu, inv_dx, i - sz, i);
             }
         }
     }
@@ -206,18 +218,18 @@ fn cellwise<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool, cons
         let ctx_z = if TZ {
             SliceCtxV::from_ctx(&table.as_ref().unwrap().cell[z])
         } else {
-            cell_ctx(g) // placeholder; recomputed per cell
+            SliceCtxV::<V>::from_ctx(&temps.cell_ctx(g)) // placeholder; recomputed per cell
         };
         if STAG {
             for x in 0..nx {
                 let i = dims.idx(x + g, g, z);
-                ybuf[x] = face(i - sy, i);
+                ybuf[x] = face_at::<V, UG>(&ps, &gcols, gu, inv_dx, i - sy, i);
             }
         }
         for y in g..g + ny {
             let mut xprev = if STAG {
                 let i = dims.idx(g, y, z);
-                face(i - 1, i)
+                face_at::<V, UG>(&ps, &gcols, gu, inv_dx, i - 1, i)
             } else {
                 V::zero()
             };
@@ -252,7 +264,11 @@ fn cellwise<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool, cons
                     }
                 }
 
-                let ctx = if TZ { ctx_z } else { cell_ctx(z) };
+                let ctx = if TZ {
+                    ctx_z
+                } else {
+                    SliceCtxV::<V>::from_ctx(&temps.cell_ctx(z))
+                };
 
                 // Reuse the already-gathered cell vectors for every face.
                 let (f_xl, f_yl, f_zl) = if STAG {
@@ -388,9 +404,9 @@ fn face_flux_cells<V: SimdF64x4>(
     inv_dx: V,
 ) -> [V; N_PHASES] {
     let half = V::splat(0.5);
-    let pf: [V; N_PHASES] = core::array::from_fn(|a| (l[a] + r[a]) * half);
-    let gd: [V; N_PHASES] = core::array::from_fn(|a| (r[a] - l[a]) * inv_dx);
-    core::array::from_fn(|a| {
+    let pf: [V; N_PHASES] = arr4!(|a| (l[a] + r[a]) * half);
+    let gd: [V; N_PHASES] = arr4!(|a| (r[a] - l[a]) * inv_dx);
+    arr4!(|a| {
         let mut s1 = V::zero();
         let mut s2 = V::zero();
         for b in 0..N_PHASES {
@@ -400,6 +416,13 @@ fn face_flux_cells<V: SimdF64x4>(
         }
         (pf[a] * s1 - gd[a] * s2) * V::splat(-2.0)
     })
+}
+
+/// Load the four phases of the four cells starting at linear index `i`
+/// (lanes = cells).
+#[inline(always)]
+fn load4<V: SimdF64x4>(ps: &[&[f64]; N_PHASES], i: usize) -> [V; N_PHASES] {
+    arr4!(|a| V::load(ps[a], i))
 }
 
 /// Shift a face-flux vector one lane right, inserting `carry` in lane 0:
@@ -436,10 +459,11 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
     } else {
         None
     };
-    // black_box: see scalar_phi.rs.
-    let scalar_ctx = |z: usize| -> SliceCtx {
-        let gz = origin_z as f64 + z as f64 - g as f64;
-        SliceCtx::at(params, std::hint::black_box(params.temperature(gz, time)))
+    let temps = SliceTemps {
+        params,
+        origin_z,
+        g,
+        time,
     };
 
     let BlockState {
@@ -452,10 +476,6 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
     let ms = mu_src.comps();
     let pd = phi_dst.comps_mut();
 
-    let load4 = |off: isize, i: usize| -> [V; N_PHASES] {
-        core::array::from_fn(|a| V::load(ps[a], (i as isize + off) as usize))
-    };
-
     // Staggered face buffers, one entry per four-cell group (lanes = cells).
     let ngx = nx / 4;
     let mut zbuf = vec![[V::zero(); N_PHASES]; if STAG { ngx * ny } else { 0 }];
@@ -465,8 +485,8 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
         for y in 0..ny {
             for gx in 0..ngx {
                 let i = dims.idx(g + gx * 4, y + g, z0);
-                let pc = load4(0, i);
-                let zm = load4(-(sz as isize), i);
+                let pc = load4::<V>(&ps, i);
+                let zm = load4::<V>(&ps, i - sz);
                 zbuf[y * ngx + gx] = face_flux_cells(&params.gamma, &zm, &pc, inv_dx);
             }
         }
@@ -476,13 +496,13 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
         let ctx = if TZ {
             table.as_ref().unwrap().cell[z]
         } else {
-            scalar_ctx(z) // placeholder; recomputed per group below
+            temps.cell_ctx(z) // placeholder; recomputed per group below
         };
         if STAG {
             for gx in 0..ngx {
                 let i = dims.idx(g + gx * 4, g, z);
-                let pc = load4(0, i);
-                let ym = load4(-(sy as isize), i);
+                let pc = load4::<V>(&ps, i);
+                let ym = load4::<V>(&ps, i - sy);
                 ybuf[gx] = face_flux_cells(&params.gamma, &ym, &pc, inv_dx);
             }
         }
@@ -492,8 +512,8 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
             // first interior cell, read out of lane 0 of a lanewise flux.
             let mut carry = [0.0f64; N_PHASES];
             if STAG && ngx > 0 {
-                let pc = load4(0, row);
-                let xm = load4(-1, row);
+                let pc = load4::<V>(&ps, row);
+                let xm = load4::<V>(&ps, row - 1);
                 let f = face_flux_cells(&params.gamma, &xm, &pc, inv_dx);
                 for a in 0..N_PHASES {
                     carry[a] = f[a].extract(0);
@@ -504,14 +524,14 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
             // Vectorized groups of four cells.
             while x + 4 <= nx {
                 let i = row + x;
-                let ctx = if TZ { ctx } else { scalar_ctx(z) };
-                let pc = load4(0, i);
-                let xm = load4(-1, i);
-                let xp = load4(1, i);
-                let ym = load4(-(sy as isize), i);
-                let yp = load4(sy as isize, i);
-                let zm = load4(-(sz as isize), i);
-                let zp = load4(sz as isize, i);
+                let ctx = if TZ { ctx } else { temps.cell_ctx(z) };
+                let pc = load4::<V>(&ps, i);
+                let xm = load4::<V>(&ps, i - 1);
+                let xp = load4::<V>(&ps, i + 1);
+                let ym = load4::<V>(&ps, i - sy);
+                let yp = load4::<V>(&ps, i + sy);
+                let zm = load4::<V>(&ps, i - sz);
+                let zp = load4::<V>(&ps, i + sz);
 
                 // Shortcut only if the condition holds for ALL four cells:
                 // some phase is pure (=1) in every lane with all neighbors
@@ -555,7 +575,7 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 // or the previous row/plane (y/z, verbatim).
                 let f_xh = face_flux_cells(&params.gamma, &pc, &xp, inv_dx);
                 let (f_xl, f_yl, f_zl) = if STAG {
-                    let xl: [V; N_PHASES] = core::array::from_fn(|a| shift_in(carry[a], f_xh[a]));
+                    let xl: [V; N_PHASES] = arr4!(|a| shift_in(carry[a], f_xh[a]));
                     (xl, ybuf[gx_i], zbuf[(y - g) * ngx + gx_i])
                 } else {
                     (
@@ -575,14 +595,13 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 }
 
                 // Gradients per phase.
-                let gx: [V; N_PHASES] = core::array::from_fn(|a| (xp[a] - xm[a]) * inv_2dx);
-                let gy: [V; N_PHASES] = core::array::from_fn(|a| (yp[a] - ym[a]) * inv_2dx);
-                let gz: [V; N_PHASES] = core::array::from_fn(|a| (zp[a] - zm[a]) * inv_2dx);
+                let gx: [V; N_PHASES] = arr4!(|a| (xp[a] - xm[a]) * inv_2dx);
+                let gy: [V; N_PHASES] = arr4!(|a| (yp[a] - ym[a]) * inv_2dx);
+                let gz: [V; N_PHASES] = arr4!(|a| (zp[a] - zm[a]) * inv_2dx);
 
                 // ∂a/∂φ_a = 2[φ_a Σ_b γ m_b − Σ_b γ φ_b (g_a·g_b)].
-                let m: [V; N_PHASES] = core::array::from_fn(|a| {
-                    gx[a].mul_add(gx[a], gy[a].mul_add(gy[a], gz[a] * gz[a]))
-                });
+                let m: [V; N_PHASES] =
+                    arr4!(|a| gx[a].mul_add(gx[a], gy[a].mul_add(gy[a], gz[a] * gz[a])));
                 let mut da = [V::zero(); N_PHASES];
                 for a in 0..N_PHASES {
                     let mut s_norm = V::zero();
@@ -644,7 +663,7 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                     mean += vdf[a];
                 }
                 mean *= V::splat(0.25);
-                let raw: [V; N_PHASES] = core::array::from_fn(|a| pc[a] - rate * (vdf[a] - mean));
+                let raw: [V; N_PHASES] = arr4!(|a| pc[a] - rate * (vdf[a] - mean));
                 let out = project_simplex_lanes(raw);
                 for a in 0..N_PHASES {
                     out[a].store(pd[a], i);
@@ -660,7 +679,7 @@ fn fourcell<V: SimdF64x4, const TZ: bool, const STAG: bool, const SC: bool>(
                 let ctx = if TZ {
                     table.as_ref().unwrap().cell[z]
                 } else {
-                    scalar_ctx(z)
+                    temps.cell_ctx(z)
                 };
                 let pc = crate::kernels::get4(&ps, i);
                 let xm = crate::kernels::get4(&ps, i - 1);
@@ -717,6 +736,41 @@ pub fn phi_sweep_cellwise_aos(
     origin_z: isize,
     time: f64,
 ) {
+    if uniform_gamma(&params.gamma) {
+        cellwise_aos::<true>(params, phi_src, mu_src, phi_dst, origin_z, time)
+    } else {
+        cellwise_aos::<false>(params, phi_src, mu_src, phi_dst, origin_z, time)
+    }
+}
+
+/// One contiguous load per cell — the AoS advantage.
+#[inline(always)]
+fn load_aos(raw: &[f64], i: usize) -> F64x4 {
+    F64x4::load(raw, i * N_PHASES)
+}
+
+/// [`face_flux_v`] of the face between AoS cells `il` and `ir`.
+#[inline(always)]
+fn face_aos<const UG: bool>(
+    raw: &[f64],
+    gcols: &[F64x4; N_PHASES],
+    gu: F64x4,
+    inv_dx: F64x4,
+    il: usize,
+    ir: usize,
+) -> F64x4 {
+    face_flux_v::<F64x4, UG>(gcols, gu, load_aos(raw, il), load_aos(raw, ir), inv_dx)
+}
+
+#[inline(always)]
+fn cellwise_aos<const UG: bool>(
+    params: &ModelParams,
+    phi_src: &eutectica_blockgrid::field::AosField<N_PHASES>,
+    mu_src: &eutectica_blockgrid::field::SoaField<2>,
+    phi_dst: &mut eutectica_blockgrid::field::SoaField<N_PHASES>,
+    origin_z: isize,
+    time: f64,
+) {
     let dims = phi_dst.dims();
     assert_eq!(dims, phi_src.dims());
     let g = dims.ghost;
@@ -727,11 +781,6 @@ pub fn phi_sweep_cellwise_aos(
     let inv_2dx = F64x4::splat(0.5 * inv_dx_s);
     let gcols = gamma_cols(&params.gamma);
     let gu = F64x4::splat(params.gamma[0][1]);
-    let uniform = {
-        let gv = params.gamma[0][1];
-        (0..N_PHASES)
-            .all(|a| (0..N_PHASES).all(|b| params.gamma[a][b] == if a == b { 0.0 } else { gv }))
-    };
     let rate = F64x4::splat(params.dt / (params.tau * params.eps));
     let quarter = F64x4::splat(0.25);
     let two = F64x4::splat(2.0);
@@ -742,30 +791,12 @@ pub fn phi_sweep_cellwise_aos(
     let ms: [&[f64]; 2] = [mu_src.comp(0), mu_src.comp(1)];
     let pd = phi_dst.comps_mut();
 
-    // One contiguous load per cell — the AoS advantage.
-    let cell = |i: usize| -> F64x4 { F64x4::load(raw, i * N_PHASES) };
-    let gapply = |v: F64x4| -> F64x4 {
-        if uniform {
-            gu * (v.hsum_splat() - v)
-        } else {
-            matvec(&gcols, v)
-        }
-    };
-    let face = |il: usize, ir: usize| -> F64x4 {
-        let (l, r) = (cell(il), cell(ir));
-        let pf = (l + r) * F64x4::splat(0.5);
-        let gd = (r - l) * inv_dx;
-        let s1 = gapply(pf * gd);
-        let s2 = gapply(pf * pf);
-        (pf * s1 - gd * s2) * F64x4::splat(-2.0)
-    };
-
     let mut zbuf = vec![F64x4::zero(); nx * ny];
     let mut ybuf = vec![F64x4::zero(); nx];
     for y in 0..ny {
         for x in 0..nx {
             let i = dims.idx(x + g, y + g, g);
-            zbuf[y * nx + x] = face(i - sz, i);
+            zbuf[y * nx + x] = face_aos::<UG>(raw, &gcols, gu, inv_dx, i - sz, i);
         }
     }
 
@@ -773,27 +804,27 @@ pub fn phi_sweep_cellwise_aos(
         let ctx = SliceCtxV::<F64x4>::from_ctx(&table.cell[z]);
         for x in 0..nx {
             let i = dims.idx(x + g, g, z);
-            ybuf[x] = face(i - sy, i);
+            ybuf[x] = face_aos::<UG>(raw, &gcols, gu, inv_dx, i - sy, i);
         }
         for y in g..g + ny {
             let mut xprev = {
                 let i = dims.idx(g, y, z);
-                face(i - 1, i)
+                face_aos::<UG>(raw, &gcols, gu, inv_dx, i - 1, i)
             };
             for x in g..g + nx {
                 let i = dims.idx(x, y, z);
-                let pc = cell(i);
-                let xm = cell(i - 1);
-                let xp = cell(i + 1);
-                let ym = cell(i - sy);
-                let yp = cell(i + sy);
-                let zm = cell(i - sz);
-                let zp = cell(i + sz);
+                let pc = load_aos(raw, i);
+                let xm = load_aos(raw, i - 1);
+                let xp = load_aos(raw, i + 1);
+                let ym = load_aos(raw, i - sy);
+                let yp = load_aos(raw, i + sy);
+                let zm = load_aos(raw, i - sz);
+                let zp = load_aos(raw, i + sz);
 
                 let (f_xl, f_yl, f_zl) = (xprev, ybuf[x - g], zbuf[(y - g) * nx + (x - g)]);
-                let f_xh = face(i, i + 1);
-                let f_yh = face(i, i + sy);
-                let f_zh = face(i, i + sz);
+                let f_xh = face_flux_v::<F64x4, UG>(&gcols, gu, pc, xp, inv_dx);
+                let f_yh = face_flux_v::<F64x4, UG>(&gcols, gu, pc, yp, inv_dx);
+                let f_zh = face_flux_v::<F64x4, UG>(&gcols, gu, pc, zp, inv_dx);
                 xprev = f_xh;
                 ybuf[x - g] = f_yh;
                 zbuf[(y - g) * nx + (x - g)] = f_zh;
@@ -802,10 +833,12 @@ pub fn phi_sweep_cellwise_aos(
                 let gy = (yp - ym) * inv_2dx;
                 let gz = (zp - zm) * inv_2dx;
                 let m = gx.mul_add(gx, gy.mul_add(gy, gz * gz));
-                let t2 = gx * gapply(pc * gx) + gy * gapply(pc * gy) + gz * gapply(pc * gz);
-                let da = (pc * gapply(m) - t2) * two;
+                let t2 = gx * gamma_apply::<F64x4, UG>(&gcols, gu, pc * gx)
+                    + gy * gamma_apply::<F64x4, UG>(&gcols, gu, pc * gy)
+                    + gz * gamma_apply::<F64x4, UG>(&gcols, gu, pc * gz);
+                let da = (pc * gamma_apply::<F64x4, UG>(&gcols, gu, m) - t2) * two;
                 let div = (f_xh - f_xl + f_yh - f_yl + f_zh - f_zl) * inv_dx;
-                let obst = gapply(pc);
+                let obst = gamma_apply::<F64x4, UG>(&gcols, gu, pc);
 
                 let phi2 = pc * pc;
                 let inv_s = one / phi2.hsum_splat();

@@ -10,7 +10,8 @@
 
 use eutectica_blockgrid::GridDims;
 use eutectica_core::kernels::{
-    mu_sweep, phi_sweep, KernelConfig, MuPart, MuVariant, PhiVariant, SimdIsa,
+    mu_sweep, mu_sweep_range, phi_sweep, phi_sweep_range, KernelConfig, MuPart, MuVariant,
+    PhiVariant, SimdIsa,
 };
 use eutectica_core::params::ModelParams;
 use eutectica_core::regions::{build_scenario, Scenario};
@@ -359,6 +360,111 @@ fn simd_isa_instantiations_are_bit_exact() {
                     0.0,
                     "{name}: µ ({tz},{stag},{sc}) avx2 vs portable not bit-exact"
                 );
+            }
+        }
+    }
+}
+
+/// First position where the destination fields of `a` and `b` differ
+/// bitwise, ghosts included.
+fn first_dst_bit_diff(a: &BlockState, b: &BlockState) -> Option<String> {
+    let phi = (0..4).map(|c| ("φ", c, a.phi_dst.comp(c), b.phi_dst.comp(c)));
+    let mu = (0..2).map(|c| ("µ", c, a.mu_dst.comp(c), b.mu_dst.comp(c)));
+    for (field, c, x, y) in phi.chain(mu) {
+        if let Some(i) = x
+            .iter()
+            .zip(y)
+            .position(|(p, q)| p.to_bits() != q.to_bits())
+        {
+            return Some(format!("{field}[{c}] linear index {i}"));
+        }
+    }
+    None
+}
+
+/// The vectorized sweeps [`simd_isa_instantiations_are_bit_exact_on_every_slab`]
+/// covers: both φ strategies and the µ-kernel in each [`MuPart`].
+#[derive(Copy, Clone, Debug)]
+enum SimdSweep {
+    Phi(PhiVariant),
+    Mu(MuPart),
+}
+
+const SIMD_SWEEPS: [SimdSweep; 5] = [
+    SimdSweep::Phi(PhiVariant::SimdCellwise),
+    SimdSweep::Phi(PhiVariant::SimdFourCell),
+    SimdSweep::Mu(MuPart::Full),
+    SimdSweep::Mu(MuPart::LocalOnly),
+    SimdSweep::Mu(MuPart::NeighborOnly),
+];
+
+/// Run `sweep` with instantiation `isa` over the z-slab `z0..z1`.
+fn run_slab(
+    params: &ModelParams,
+    base: &BlockState,
+    sweep: SimdSweep,
+    mut c: KernelConfig,
+    isa: SimdIsa,
+    (z0, z1): (usize, usize),
+) -> BlockState {
+    let mut s = base.clone();
+    c.isa = isa;
+    match sweep {
+        SimdSweep::Phi(phi) => {
+            c.phi = phi;
+            phi_sweep_range(params, &mut s, 0.9, c, z0, z1);
+        }
+        SimdSweep::Mu(part) => mu_sweep_range(params, &mut s, 0.9, c, part, z0, z1),
+    }
+    s
+}
+
+/// AVX2 vs portable, bit for bit, on every contiguous z-slab `z0..z1` of
+/// the block, for all eight T(z)/buffer/shortcut combinations of every
+/// sweep in [`SIMD_SWEEPS`]. Restarting a sweep at an arbitrary `z0` runs
+/// the staggered-buffer prefill there, and every row start runs the
+/// x-carry, so this pins those paths per ISA. The 8×8×12 block is the
+/// campaign job size; the 10-wide block adds the four-cell kernels' scalar
+/// remainder.
+#[test]
+fn simd_isa_instantiations_are_bit_exact_on_every_slab() {
+    if !eutectica_simd::avx2_available() {
+        eprintln!("skipping: AVX2+FMA not selectable on this host/build");
+        return;
+    }
+    let params = ModelParams::ag_al_cu();
+    for dims in [GridDims::new(8, 8, 12, 1), GridDims::new(10, 6, 6, 1)] {
+        let mut bases = vec![("random".to_string(), random_state(303, dims))];
+        for sc in Scenario::ALL {
+            bases.push((format!("{sc:?}"), build_scenario(sc, dims)));
+        }
+        let (g, top) = (dims.ghost, dims.ghost + dims.nz);
+        for (name, base) in &bases {
+            for flags in 0..8 {
+                let (tz, stag, sc) = (flags & 4 != 0, flags & 2 != 0, flags & 1 != 0);
+                let c = cfg(
+                    PhiVariant::SimdCellwise,
+                    MuVariant::SimdFourCell,
+                    tz,
+                    stag,
+                    sc,
+                );
+                for sweep in SIMD_SWEEPS {
+                    for z0 in g..top {
+                        for z1 in z0 + 1..=top {
+                            let slab = (z0, z1);
+                            let avx = run_slab(&params, base, sweep, c, SimdIsa::Avx2, slab);
+                            let port = run_slab(&params, base, sweep, c, SimdIsa::Portable, slab);
+                            if let Some(at) = first_dst_bit_diff(&avx, &port) {
+                                panic!(
+                                    "{}x{}x{} {name}: {sweep:?} (tz={tz}, stag={stag}, sc={sc}) \
+                                     slab {z0}..{z1}: avx2 vs portable differ at {at}",
+                                    dims.nx, dims.ny, dims.nz
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }

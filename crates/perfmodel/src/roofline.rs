@@ -9,7 +9,7 @@
 //! 80 GiB/s : 680 B/LUP = 126.3 MLUP/s."
 
 use eutectica_core::metrics::FlopCount;
-use eutectica_simd::F64x4;
+use eutectica_simd::SimdF64x4;
 use std::time::Instant;
 
 /// Measured machine characteristics.
@@ -44,24 +44,58 @@ pub fn measure_stream_bandwidth() -> f64 {
 }
 
 /// Peak-FLOP probe: eight independent FMA chains on 4-wide vectors.
-/// Returns FLOP/s (each FMA counts as 2 FLOPs × 4 lanes).
+/// Returns FLOP/s (each FMA counts as 2 FLOPs × 4 lanes). Runs the AVX2+FMA
+/// instantiation when the host has it (the same runtime dispatch as the
+/// kernels), so the probe measures hardware FMAs, not the portable
+/// backend's software `mul_add`.
 pub fn measure_peak_flops() -> f64 {
     let iters: u64 = 4_000_000;
-    let mut acc = [F64x4::splat(0.0); 8];
-    let x = F64x4::splat(1.000000001);
-    let y = F64x4::splat(1e-9);
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let t = Instant::now();
-        for _ in 0..iters {
-            for a in acc.iter_mut() {
-                *a = x.mul_add(*a, y);
-            }
-        }
-        std::hint::black_box(&acc);
+        std::hint::black_box(fma_chains(iters));
         best = best.min(t.elapsed().as_secs_f64());
     }
     (iters * 8 * 2 * 4) as f64 / best
+}
+
+/// The probe's FMA loop on the best runtime-selectable ISA; returns the
+/// eight accumulators.
+fn fma_chains(iters: u64) -> [[f64; 4]; 8] {
+    #[cfg(target_arch = "x86_64")]
+    if eutectica_simd::avx2_available() {
+        // SAFETY: `avx2_available()` verified AVX2+FMA at runtime.
+        return unsafe { fma_chains_avx2(iters) };
+    }
+    fma_chains_v::<eutectica_simd::scalar::F64x4>(iters)
+}
+
+/// AVX2+FMA instantiation of [`fma_chains_v`]. Calling it without checking
+/// [`eutectica_simd::avx2_available`] first is undefined behavior.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn fma_chains_avx2(iters: u64) -> [[f64; 4]; 8] {
+    fma_chains_v::<eutectica_simd::avx2::F64x4>(iters)
+}
+
+/// Eight independent chains `a ← x·a + y`, `iters` FMAs each. No closures:
+/// they would compile outside the `target_feature` wrapper (see
+/// `eutectica_core::kernels`).
+#[inline(always)]
+fn fma_chains_v<V: SimdF64x4>(iters: u64) -> [[f64; 4]; 8] {
+    let mut acc = [V::splat(0.0); 8];
+    let x = V::splat(1.000000001);
+    let y = V::splat(1e-9);
+    for _ in 0..iters {
+        for a in acc.iter_mut() {
+            *a = x.mul_add(*a, y);
+        }
+    }
+    let mut out = [[0.0; 4]; 8];
+    for (o, a) in out.iter_mut().zip(acc) {
+        *o = a.to_array();
+    }
+    out
 }
 
 /// Result of the roofline analysis for one kernel.
@@ -109,6 +143,16 @@ pub fn fraction_of_peak(rates: MachineRates, flops: FlopCount, measured_mlups: f
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fma_probe_instantiations_are_bit_identical() {
+        // The dispatched loop runs the AVX2 instantiation where available.
+        let dispatched = fma_chains(1000);
+        let portable = fma_chains_v::<eutectica_simd::scalar::F64x4>(1000);
+        for (d, p) in dispatched.iter().flatten().zip(portable.iter().flatten()) {
+            assert_eq!(d.to_bits(), p.to_bits());
+        }
+    }
 
     #[test]
     fn analysis_math() {
